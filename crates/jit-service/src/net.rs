@@ -31,6 +31,21 @@
 //! serving state (the backend's snapshot stores) is owned behind the
 //! backend and unaffected.
 //!
+//! ## Latency
+//!
+//! Nagle's algorithm holds a small segment until the previous one is
+//! ACKed, and a peer that delays its ACK adds ~40 ms to every frame
+//! caught that way. Two rules keep frames out of it, and neither is
+//! configurable:
+//!
+//! * every frame is one socket write ([`wire::write_frame`]), so a
+//!   peer that leaves Nagle on never holds a body behind its own
+//!   length prefix;
+//! * both ends set `TCP_NODELAY` — the server on every accepted
+//!   connection, [`NetClient`] on its stream — so replies going out
+//!   back to back never wait for the previous one's ACK. Setting it is
+//!   best effort: a socket that refuses the option is still served.
+//!
 //! ## Shutdown
 //!
 //! [`NetServer::shutdown`] (also run on drop) is orderly and
@@ -303,6 +318,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        let _ = stream.set_nodelay(true);
         let Ok(write_half) = stream.try_clone() else { continue };
         shared.connections.fetch_add(1, Ordering::SeqCst);
         let reply = Arc::new(Mutex::new(write_half));
@@ -489,6 +505,7 @@ impl NetClient {
                 }
             }
         };
+        let _ = writer.set_nodelay(true);
         let reader = writer
             .try_clone()
             .map_err(|e| ServeError::Transport(format!("clone failed: {e}")))?;

@@ -147,7 +147,14 @@ impl From<WireError> for ServeError {
 // Frame I/O
 // ---------------------------------------------------------------------
 
-/// Writes one frame (`len` prefix + `body`).
+/// Writes one frame (`len` prefix + `body`) as a single `write_all`,
+/// then flushes.
+///
+/// One write per frame is deliberate and not configurable: a separate
+/// write for the 4-byte prefix lets Nagle's algorithm hold the body
+/// back until the peer ACKs the prefix, and a peer that delays its ACKs
+/// adds ~40 ms to every frame. (The TCP front end also sets
+/// `TCP_NODELAY` on its sockets — see [`crate::net`].)
 ///
 /// # Errors
 /// [`WireError::Oversized`] when `body` exceeds `max` (nothing is
@@ -160,8 +167,10 @@ pub fn write_frame(
     if body.len() > max || body.len() > u32::MAX as usize {
         return Err(WireError::Oversized { len: body.len(), max });
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -1243,6 +1252,34 @@ mod tests {
         // Truncated inside the length prefix itself.
         let mut r = &[1u8, 0][..];
         assert!(matches!(read_frame(&mut r, 64), Err(WireError::Io(_))));
+    }
+
+    /// Records the size of every `write` call it receives.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: Vec<usize>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_exactly_one_write() {
+        let mut sink = CountingSink::default();
+        for body in [&b""[..], b"x", &[9u8; 1000]] {
+            write_frame(&mut sink, body, 1000).unwrap();
+        }
+        assert_eq!(sink.writes, vec![4, 5, 1004]);
+        assert!(write_frame(&mut sink, &[0u8; 1001], 1000).is_err());
+        assert_eq!(sink.writes.len(), 3, "an oversized frame makes no write");
     }
 
     #[test]

@@ -191,6 +191,19 @@ impl ServeBackend for GatedBackend {
     }
 }
 
+/// A released (never-blocking) backend behind a default-config server.
+fn instant_server() -> (Arc<GatedBackend>, NetServer) {
+    let backend = Arc::new(GatedBackend::new());
+    backend.release();
+    let server = NetServer::bind(
+        Arc::clone(&backend) as Arc<dyn ServeBackend>,
+        "127.0.0.1:0",
+        NetServerConfig::default(),
+    )
+    .expect("bind");
+    (backend, server)
+}
+
 fn probe_request(id: u64) -> Vec<u8> {
     wire::encode_message(&Message::Serve {
         id,
@@ -203,14 +216,7 @@ fn probe_request(id: u64) -> Vec<u8> {
 
 #[test]
 fn oversized_frame_gets_a_typed_reply_and_a_closed_connection() {
-    let backend = Arc::new(GatedBackend::new());
-    backend.release();
-    let server = NetServer::bind(
-        Arc::clone(&backend) as Arc<dyn ServeBackend>,
-        "127.0.0.1:0",
-        NetServerConfig::default(),
-    )
-    .expect("bind");
+    let (backend, server) = instant_server();
 
     // Claim a frame bigger than the cap; send only the length prefix.
     let mut raw = TcpStream::connect(server.addr()).expect("connect");
@@ -244,14 +250,7 @@ fn oversized_frame_gets_a_typed_reply_and_a_closed_connection() {
 
 #[test]
 fn torn_connection_leaves_the_server_serviceable() {
-    let backend = Arc::new(GatedBackend::new());
-    backend.release();
-    let server = NetServer::bind(
-        Arc::clone(&backend) as Arc<dyn ServeBackend>,
-        "127.0.0.1:0",
-        NetServerConfig::default(),
-    )
-    .expect("bind");
+    let (backend, server) = instant_server();
 
     // Half a length prefix, then vanish.
     {
@@ -328,5 +327,74 @@ fn queue_overflow_sheds_with_a_typed_overloaded_error() {
         ));
     }
     assert!(wait_until(DEADLINE, || server.stats().served == 2));
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Transport latency: no delayed-ACK stall per frame
+// ---------------------------------------------------------------------
+
+/// Frames a latency test sends. A Nagle/delayed-ACK stall costs at
+/// least 40 ms (the Linux delayed-ACK floor) each time it strikes: once
+/// per frame in sequence (≥ 2 s in all), once per pipelined pair
+/// (≥ 1 s in all).
+const LATENCY_FRAMES: u64 = 50;
+/// Budget for all of them on loopback against an instant backend; a
+/// stall-free run takes a few milliseconds.
+const LATENCY_BUDGET: Duration = Duration::from_secs(1);
+
+#[test]
+fn sequential_pings_do_not_stall_on_delayed_acks() {
+    let (backend, server) = instant_server();
+    let mut client =
+        NetClient::connect(server.addr(), backend.schema.clone()).expect("connect");
+    let start = Instant::now();
+    for _ in 0..LATENCY_FRAMES {
+        client.ping().expect("pong");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < LATENCY_BUDGET,
+        "{LATENCY_FRAMES} ping round trips took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_serve_frames_do_not_stall_on_delayed_acks() {
+    let (backend, server) = instant_server();
+    // A raw socket with no options set, the way an arbitrary client
+    // connects: the server alone must keep replies from stalling. Frames
+    // go out in pairs, one segment each, and the client reads both
+    // replies before sending more, so the second reply of every pair
+    // follows the first back to back with nothing to carry its ACK.
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = raw.try_clone().expect("clone");
+    let start = Instant::now();
+    let mut ids = Vec::new();
+    for first in (1..=LATENCY_FRAMES).step_by(2) {
+        let mut pair = Vec::new();
+        for id in first..first + 2 {
+            wire::write_frame(&mut pair, &probe_request(id), wire::MAX_FRAME_LEN)
+                .unwrap();
+        }
+        raw.write_all(&pair).expect("send pair");
+        for _ in 0..2 {
+            let body =
+                wire::read_frame(&mut reader, wire::MAX_FRAME_LEN).expect("reply");
+            match wire::decode_message(&body, Some(&backend.schema)).expect("decodes") {
+                Message::Served { id, .. } => ids.push(id),
+                other => panic!("expected a served reply, got {other:?}"),
+            }
+        }
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < LATENCY_BUDGET,
+        "{LATENCY_FRAMES} pipelined serve round trips took {elapsed:?}"
+    );
+    // Two workers may finish a pair out of order; every id comes back once.
+    ids.sort_unstable();
+    assert_eq!(ids, (1..=LATENCY_FRAMES).collect::<Vec<_>>());
     server.shutdown();
 }
