@@ -70,6 +70,7 @@ pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/jit-service/src/supervisor.rs",
     "crates/jit-service/src/sharded.rs",
     "crates/jit-service/src/store.rs",
+    "crates/jit-service/src/db_store.rs",
     "crates/jit-service/src/invalidation.rs",
     "crates/jit-db/src/codec.rs",
     "crates/jit-db/src/wal.rs",

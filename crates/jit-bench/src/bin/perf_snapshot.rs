@@ -543,8 +543,9 @@ fn main() {
         min,
     ));
 
-    // Persisted refresh: snapshots live as SQL rows in a jit-db-backed
-    // store; each rep loads them through the SQL engine and replays.
+    // Persisted refresh: each snapshot lives as one jit-db row holding
+    // its wire encoding; each rep loads them with a prepared select,
+    // decodes and replays.
     let db_service = JitService::with_shared(
         Arc::clone(&system_arc),
         Arc::new(

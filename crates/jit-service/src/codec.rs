@@ -1,11 +1,12 @@
 //! Exact text codecs for the snapshot parts that are not plain numbers.
 //!
-//! The SQL store keeps profiles, temporal inputs and candidates as
-//! `REAL` columns (lossless since `jit-db`'s float round-trip fix) and
-//! fingerprints as digest hex. What remains — constraint ASTs and
-//! temporal update functions — is encoded here into compact text blobs
-//! with every `f64` written as its 16-hex-digit IEEE-754 bit pattern, so
-//! a decode is **bit-identical** to the encoded value: round-tripped
+//! The [`crate::wire`] snapshot encoding (which the durable store also
+//! persists) carries profiles, temporal inputs and candidates as raw
+//! float bits and fingerprints as digests. What remains — constraint
+//! ASTs and temporal update functions — is encoded here into compact
+//! text blobs that the wire encoding embeds, with every `f64` written as
+//! its 16-hex-digit IEEE-754 bit pattern, so a decode is
+//! **bit-identical** to the encoded value: round-tripped
 //! constraint sets compile to the same [`jit_constraints::BoundConstraint`]
 //! content digests, which is what makes a persisted re-serve replay
 //! exactly like an in-memory one.

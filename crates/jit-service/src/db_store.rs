@@ -1,13 +1,12 @@
 //! The `jit-db`-backed snapshot store: re-serves survive restarts.
 //!
-//! Every [`SessionSnapshot`] is serialized **through the SQL engine's
-//! programmatic row API** — typed [`Value`] rows on the write path (one
-//! atomic delete+insert batch per save) and prepared `SELECT … WHERE
-//! user_id = ?` statements on the read path, compiled once at open.
-//! Floats travel as raw bits end to end (no SQL-literal rendering, no
-//! tokenizer on the hot path), so NaN payloads and `-0.0` survive, and
-//! a per-user load costs a handful of direct scans instead of seven
-//! parse+plan passes.
+//! Every [`SessionSnapshot`] is stored as **one row** holding its
+//! canonical [`crate::wire`] encoding — the same bytes a `Returning`
+//! request or a response carries — written through the SQL engine's
+//! programmatic row API (one atomic delete+insert batch per save) and
+//! read back with one prepared `SELECT … WHERE user_id = ?`, compiled
+//! once at open. Floats are raw IEEE-754 bits inside that encoding, so
+//! NaN payloads and `-0.0` survive bit-exactly.
 //!
 //! Two durability tiers share the code path:
 //!
@@ -20,45 +19,50 @@
 //!   recovery the store holds either the old snapshot or the new one,
 //!   never a torn mix.
 //!
-//! Layout (narrow tables, schema-independent):
+//! Layout:
 //!
 //! | table | row per | columns |
 //! |---|---|---|
-//! | `jit_snapshots` | snapshot | `user_id, schema_digest, horizon, update_fn` |
-//! | `jit_snapshot_profile` | profile coordinate | `user_id, idx, v` |
-//! | `jit_snapshot_inputs` | temporal-input coordinate | `user_id, t, idx, v` |
-//! | `jit_snapshot_fingerprints` | time point | `user_id, t, hex` (NULL = unfingerprintable) |
-//! | `jit_snapshot_constraints` | scoped constraint | `user_id, ord, kind, lo, hi, body` |
-//! | `jit_snapshot_candidates` | candidate | `user_id, ord, t, gap, diff, p` |
-//! | `jit_snapshot_candidate_profiles` | candidate coordinate | `user_id, ord, idx, v` |
+//! | `jit_snapshots` | snapshot | `user_id TEXT, schema_digest TEXT, snapshot TEXT` |
 //!
-//! Fingerprints round-trip via [`Digest`] hex; constraint bodies and
-//! update functions via the exact [`crate::codec`]. Each snapshot
+//! `snapshot` is the lowercase hex of the wire bytes: the engine has no
+//! BLOB type, and TEXT hex needs no engine change. A save is one
+//! `DeleteEq` plus a one-row insert, so what it logs is proportional to
+//! the one snapshot saved, whatever else the store holds; the in-memory
+//! delete still walks the table, one row per stored user. Each row
 //! records the feature schema's content digest, and loads under a
 //! different schema fail with [`StoreError::SchemaMismatch`] rather than
-//! risk a wrong replay.
+//! risk a wrong replay. A database whose `jit_snapshots` table has any
+//! other columns (an older layout) is refused at open with
+//! [`StoreError::LayoutMismatch`]; it is not migrated.
 
-use crate::codec;
+// Decode/serve path: panics are denied outright here (tests and the
+// few fn-level reasoned allows excepted) — hostile bytes and worker
+// failures must surface as typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::store::{SnapshotStore, StoreError};
-use jit_core::{Candidate, SessionSnapshot, UserRequest};
+use crate::wire;
+use jit_core::SessionSnapshot;
 use jit_data::FeatureSchema;
 use jit_db::{ColumnType, Database, DurableDatabase, Prepared, Value, WalOp};
 use jit_math::digest::Digest;
 use std::fmt;
 use std::sync::Arc;
 
+const TABLE: &str = "jit_snapshots";
+
+const COLUMNS: [(&str, ColumnType); 3] = [
+    ("user_id", ColumnType::Text),
+    ("schema_digest", ColumnType::Text),
+    ("snapshot", ColumnType::Text),
+];
+
 /// The read-path statements, compiled once at open. All are
-/// single-table `WHERE user_id = ?` selects in the shape the engine's
-/// direct-scan plan covers, so executing them never touches the SQL
-/// front end.
+/// single-table selects in the shape the engine's direct-scan plan
+/// covers, so executing them never touches the SQL front end.
 struct Stmts {
-    header: Prepared,
-    profile: Prepared,
-    inputs: Prepared,
-    fingerprints: Prepared,
-    constraints: Prepared,
-    candidates: Prepared,
-    candidate_profiles: Prepared,
+    row: Prepared,
     exists: Prepared,
     user_ids: Prepared,
 }
@@ -66,32 +70,8 @@ struct Stmts {
 impl Stmts {
     fn compile(db: &Database) -> Result<Stmts, StoreError> {
         Ok(Stmts {
-            header: db.prepare(
-                "SELECT schema_digest, horizon, update_fn FROM jit_snapshots \
-                 WHERE user_id = ?",
-            )?,
-            profile: db.prepare(
-                "SELECT v FROM jit_snapshot_profile WHERE user_id = ? ORDER BY idx",
-            )?,
-            inputs: db.prepare(
-                "SELECT t, v FROM jit_snapshot_inputs WHERE user_id = ? \
-                 ORDER BY t, idx",
-            )?,
-            fingerprints: db.prepare(
-                "SELECT t, hex FROM jit_snapshot_fingerprints WHERE user_id = ? \
-                 ORDER BY t",
-            )?,
-            constraints: db.prepare(
-                "SELECT kind, lo, hi, body FROM jit_snapshot_constraints \
-                 WHERE user_id = ? ORDER BY ord",
-            )?,
-            candidates: db.prepare(
-                "SELECT t, gap, diff, p FROM jit_snapshot_candidates \
-                 WHERE user_id = ? ORDER BY ord",
-            )?,
-            candidate_profiles: db.prepare(
-                "SELECT ord, v FROM jit_snapshot_candidate_profiles \
-                 WHERE user_id = ? ORDER BY ord, idx",
+            row: db.prepare(
+                "SELECT schema_digest, snapshot FROM jit_snapshots WHERE user_id = ?",
             )?,
             exists: db
                 .prepare("SELECT user_id FROM jit_snapshots WHERE user_id = ?")?,
@@ -111,101 +91,26 @@ pub struct DbSnapshotStore {
     schema_digest: Digest,
     stmts: Stmts,
     /// Serializes the multi-statement save/load/remove sequences: the
-    /// database locks per statement, but one snapshot spans seven
-    /// tables, so without this a concurrent `load` could observe a
-    /// half-written ("torn") snapshot between a `save`'s DELETEs and
-    /// its last INSERT. Per-store, so the sharded dispatcher's
-    /// one-store-per-shard layout keeps cross-shard parallelism.
+    /// database locks per statement, and without a WAL a save's delete
+    /// and insert are two statements, so without this a concurrent
+    /// `load` could find the user absent between them. Per-store, so
+    /// the sharded dispatcher's one-store-per-shard layout keeps
+    /// cross-shard parallelism.
     op_lock: parking_lot::Mutex<()>,
 }
 
-const TABLES: [(&str, &[(&str, ColumnType)]); 7] = [
-    (
-        "jit_snapshots",
-        &[
-            ("user_id", ColumnType::Text),
-            ("schema_digest", ColumnType::Text),
-            ("horizon", ColumnType::Integer),
-            ("update_fn", ColumnType::Text),
-        ],
-    ),
-    (
-        "jit_snapshot_profile",
-        &[
-            ("user_id", ColumnType::Text),
-            ("idx", ColumnType::Integer),
-            ("v", ColumnType::Real),
-        ],
-    ),
-    (
-        "jit_snapshot_inputs",
-        &[
-            ("user_id", ColumnType::Text),
-            ("t", ColumnType::Integer),
-            ("idx", ColumnType::Integer),
-            ("v", ColumnType::Real),
-        ],
-    ),
-    (
-        "jit_snapshot_fingerprints",
-        &[
-            ("user_id", ColumnType::Text),
-            ("t", ColumnType::Integer),
-            ("hex", ColumnType::Text),
-        ],
-    ),
-    (
-        "jit_snapshot_constraints",
-        &[
-            ("user_id", ColumnType::Text),
-            ("ord", ColumnType::Integer),
-            ("kind", ColumnType::Text),
-            ("lo", ColumnType::Integer),
-            ("hi", ColumnType::Integer),
-            ("body", ColumnType::Text),
-        ],
-    ),
-    (
-        "jit_snapshot_candidates",
-        &[
-            ("user_id", ColumnType::Text),
-            ("ord", ColumnType::Integer),
-            ("t", ColumnType::Integer),
-            ("gap", ColumnType::Integer),
-            ("diff", ColumnType::Real),
-            ("p", ColumnType::Real),
-        ],
-    ),
-    (
-        "jit_snapshot_candidate_profiles",
-        &[
-            ("user_id", ColumnType::Text),
-            ("ord", ColumnType::Integer),
-            ("idx", ColumnType::Integer),
-            ("v", ColumnType::Real),
-        ],
-    ),
-];
-
 impl DbSnapshotStore {
-    /// Opens a store over `db`, creating the snapshot tables when absent
+    /// Opens a store over `db`, creating the snapshot table when absent
     /// (re-opening an already-populated database is the restart path).
+    ///
+    /// # Errors
+    /// [`StoreError::LayoutMismatch`] when `jit_snapshots` exists with
+    /// other columns.
     pub fn open(db: Arc<Database>, schema: &FeatureSchema) -> Result<Self, StoreError> {
-        for (name, columns) in TABLES {
-            if !db.has_table(name) {
-                db.create_table(name, owned_columns(columns))?;
-            }
+        if !has_snapshot_table(&db)? {
+            db.create_table(TABLE, owned_columns())?;
         }
-        declare_indexes(&db)?;
-        let stmts = Stmts::compile(&db)?;
-        Ok(DbSnapshotStore {
-            db,
-            wal: None,
-            schema: schema.clone(),
-            schema_digest: schema.content_digest(),
-            stmts,
-            op_lock: parking_lot::Mutex::new(()),
-        })
+        Self::with_backing(db, None, schema)
     }
 
     /// A store over a fresh private database.
@@ -216,28 +121,39 @@ impl DbSnapshotStore {
     /// Opens a store whose writes commit through `wal`'s write-ahead
     /// log: each save/remove is one crash-atomic logged batch, and a
     /// store reopened over the recovered log re-serves bit-identically.
-    /// Missing snapshot tables are created (and logged) on open.
+    /// A missing snapshot table is created (and logged) on open.
+    ///
+    /// # Errors
+    /// [`StoreError::LayoutMismatch`] when `jit_snapshots` exists with
+    /// other columns.
     pub fn open_durable(
         wal: Arc<DurableDatabase>,
         schema: &FeatureSchema,
     ) -> Result<Self, StoreError> {
         let db = Arc::clone(wal.database());
-        let ddl: Vec<WalOp> = TABLES
-            .iter()
-            .filter(|(name, _)| !db.has_table(name))
-            .map(|(name, columns)| WalOp::CreateTable {
-                name: name.to_string(),
-                columns: owned_columns(columns),
-            })
-            .collect();
-        if !ddl.is_empty() {
-            wal.commit(&ddl)?;
+        if !has_snapshot_table(&db)? {
+            wal.commit(&[WalOp::CreateTable {
+                name: TABLE.to_string(),
+                columns: owned_columns(),
+            }])?;
         }
-        declare_indexes(&db)?;
+        Self::with_backing(db, Some(wal), schema)
+    }
+
+    fn with_backing(
+        db: Arc<Database>,
+        wal: Option<Arc<DurableDatabase>>,
+        schema: &FeatureSchema,
+    ) -> Result<Self, StoreError> {
+        // Every read and the replace-on-save delete filter on `user_id`.
+        // Indexes are in-memory acceleration, not logged state: they are
+        // (re)declared on every open, including reopens over recovered
+        // WALs, and never change results.
+        db.create_index(TABLE, "user_id")?;
         let stmts = Stmts::compile(&db)?;
         Ok(DbSnapshotStore {
             db,
-            wal: Some(wal),
+            wal,
             schema: schema.clone(),
             schema_digest: schema.content_digest(),
             stmts,
@@ -256,10 +172,6 @@ impl DbSnapshotStore {
         self.wal.as_ref()
     }
 
-    fn corrupt(user_id: &str, detail: impl Into<String>) -> StoreError {
-        StoreError::Corrupt { user_id: user_id.to_string(), detail: detail.into() }
-    }
-
     /// Runs a prepared read with the user id bound.
     fn query(
         &self,
@@ -269,62 +181,117 @@ impl DbSnapshotStore {
         Ok(self.db.execute_prepared(stmt, &[Value::from(user_id)])?)
     }
 
-    /// Applies one save/remove batch: through the WAL as a single
-    /// crash-atomic commit when durable, directly otherwise. The ops are
-    /// typed (validated before any byte is logged), so a failed apply
-    /// cannot leave a half-written snapshot behind.
-    fn apply_batch(&self, ops: &[WalOp]) -> Result<(), StoreError> {
-        match &self.wal {
-            Some(wal) => {
-                wal.commit(ops)?;
+    /// Replaces one user's row with `row`, or deletes it when `row` is
+    /// `None`. Durable stores commit the delete and the insert as one
+    /// WAL record, so a crash recovers either the old snapshot or the
+    /// new one; the ops are validated before any byte is logged.
+    /// Without a WAL they are two statements, kept whole by `op_lock`.
+    fn replace_row(
+        &self,
+        id: Value,
+        row: Option<Vec<Value>>,
+    ) -> Result<(), StoreError> {
+        let Some(wal) = &self.wal else {
+            self.db.delete_eq(TABLE, "user_id", &id)?;
+            if let Some(row) = row {
+                self.db.insert_rows(TABLE, vec![row])?;
             }
-            None => {
-                for op in ops {
-                    match op {
-                        WalOp::DeleteEq { table, column, value } => {
-                            self.db.delete_eq(table, column, value)?;
-                        }
-                        WalOp::InsertRows { table, rows } => {
-                            self.db.insert_rows(table, rows.clone())?;
-                        }
-                        other => {
-                            return Err(StoreError::Unavailable(format!(
-                                "unsupported direct-apply op {other:?}"
-                            )))
-                        }
-                    }
-                }
-            }
-        }
+            return Ok(());
+        };
+        let mut ops = vec![WalOp::DeleteEq {
+            table: TABLE.to_string(),
+            column: "user_id".to_string(),
+            value: id,
+        }];
+        ops.extend(row.map(|row| WalOp::InsertRows {
+            table: TABLE.to_string(),
+            rows: vec![row],
+        }));
+        wal.commit(&ops)?;
         Ok(())
     }
 
-    /// The delete half of replace semantics for one user.
-    fn delete_ops(id: &Value) -> Vec<WalOp> {
-        TABLES
-            .iter()
-            .map(|(name, _)| WalOp::DeleteEq {
-                table: name.to_string(),
-                column: "user_id".to_string(),
-                value: id.clone(),
-            })
-            .collect()
+    /// Checks a decoded snapshot's vectors against the store's schema:
+    /// a well-formed encoding of the wrong width must not be served.
+    fn check_dims(&self, snapshot: &SessionSnapshot) -> Result<(), &'static str> {
+        let dim = self.schema.dim();
+        if snapshot.request.profile.len() != dim {
+            return Err("profile dimension");
+        }
+        if snapshot.temporal_inputs().iter().any(|x| x.len() != dim) {
+            return Err("temporal-input dimension");
+        }
+        if snapshot.candidates().iter().any(|c| c.profile.len() != dim) {
+            return Err("candidate profile dimension");
+        }
+        Ok(())
     }
 }
 
-fn owned_columns(columns: &[(&str, ColumnType)]) -> Vec<(String, ColumnType)> {
-    columns.iter().map(|(c, ty)| (c.to_string(), *ty)).collect()
+fn owned_columns() -> Vec<(String, ColumnType)> {
+    COLUMNS.iter().map(|(c, ty)| (c.to_string(), *ty)).collect()
 }
 
-/// Every store read and the replace-on-save delete filter on `user_id`,
-/// so each snapshot table gets a hash index on it. Indexes are in-memory
-/// acceleration, not logged state: they are (re)declared on every open —
-/// including reopens over recovered WALs — and never change results.
-fn declare_indexes(db: &Database) -> Result<(), StoreError> {
-    for (name, _) in TABLES {
-        db.create_index(name, "user_id")?;
+fn render_layout(columns: &[(String, ColumnType)]) -> String {
+    let columns: Vec<String> =
+        columns.iter().map(|(name, ty)| format!("{name} {ty}")).collect();
+    format!("{TABLE}({})", columns.join(", "))
+}
+
+/// `true` when `db` already holds the snapshot table in this store's
+/// layout, `false` when it has none.
+///
+/// # Errors
+/// [`StoreError::LayoutMismatch`] when the table exists with other
+/// columns.
+fn has_snapshot_table(db: &Database) -> Result<bool, StoreError> {
+    let Some(found) = db.table_schema(TABLE) else {
+        return Ok(false);
+    };
+    let expected = owned_columns();
+    if found.columns == expected {
+        return Ok(true);
     }
-    Ok(())
+    Err(StoreError::LayoutMismatch {
+        expected: render_layout(&expected),
+        found: render_layout(&found.columns),
+    })
+}
+
+fn hex_digit(nibble: u8) -> char {
+    char::from(if nibble < 10 { b'0' + nibble } else { b'a' + nibble - 10 })
+}
+
+fn to_hex(bytes: &[u8]) -> String {
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for b in bytes {
+        out.push(hex_digit(b >> 4));
+        out.push(hex_digit(b & 0xf));
+    }
+    out
+}
+
+fn hex_value(digit: u8) -> Option<u8> {
+    match digit {
+        b'0'..=b'9' => Some(digit - b'0'),
+        b'a'..=b'f' => Some(digit - b'a' + 10),
+        _ => None,
+    }
+}
+
+/// Parses [`to_hex`] output; `None` for odd length or any character
+/// outside `[0-9a-f]`.
+fn from_hex(text: &str) -> Option<Vec<u8>> {
+    let pairs = text.as_bytes().chunks_exact(2);
+    if !pairs.remainder().is_empty() {
+        return None;
+    }
+    pairs
+        .map(|pair| match pair {
+            [hi, lo] => Some(hex_value(*hi)? << 4 | hex_value(*lo)?),
+            _ => None,
+        })
+        .collect()
 }
 
 impl fmt::Debug for DbSnapshotStore {
@@ -335,12 +302,8 @@ impl fmt::Debug for DbSnapshotStore {
     }
 }
 
-/// A typed insert op, or `None` for zero rows (nothing to insert).
-fn insert_op(table: &str, rows: Vec<Vec<Value>>) -> Option<WalOp> {
-    if rows.is_empty() {
-        return None;
-    }
-    Some(WalOp::InsertRows { table: table.to_string(), rows })
+fn corrupt(user_id: &str, detail: impl Into<String>) -> StoreError {
+    StoreError::Corrupt { user_id: user_id.to_string(), detail: detail.into() }
 }
 
 impl SnapshotStore for DbSnapshotStore {
@@ -351,286 +314,45 @@ impl SnapshotStore for DbSnapshotStore {
     ) -> Result<(), StoreError> {
         let _guard = self.op_lock.lock();
         let id = Value::from(user_id);
-
-        let header = vec![vec![
+        let row = vec![
             id.clone(),
             Value::from(self.schema_digest.to_hex()),
-            Value::Int(snapshot.horizon() as i64),
-            Value::from(codec::encode_update_fn(snapshot.request.update_fn.as_ref())),
-        ]];
-        let profile: Vec<Vec<Value>> = snapshot
-            .request
-            .profile
-            .iter()
-            .enumerate()
-            .map(|(i, v)| vec![id.clone(), Value::Int(i as i64), Value::Float(*v)])
-            .collect();
-        let inputs: Vec<Vec<Value>> = snapshot
-            .temporal_inputs()
-            .iter()
-            .enumerate()
-            .flat_map(|(t, x)| {
-                let id = &id;
-                x.iter().enumerate().map(move |(i, v)| {
-                    vec![
-                        id.clone(),
-                        Value::Int(t as i64),
-                        Value::Int(i as i64),
-                        Value::Float(*v),
-                    ]
-                })
-            })
-            .collect();
-        let fingerprints: Vec<Vec<Value>> = snapshot
-            .fingerprints()
-            .iter()
-            .enumerate()
-            .map(|(t, fp)| {
-                vec![
-                    id.clone(),
-                    Value::Int(t as i64),
-                    fp.map_or(Value::Null, |d| Value::from(d.to_hex())),
-                ]
-            })
-            .collect();
-        let constraints: Vec<Vec<Value>> = snapshot
-            .request
-            .constraints
-            .items()
-            .iter()
-            .enumerate()
-            .map(|(ord, item)| {
-                let (kind, lo, hi) = match item.scope {
-                    jit_constraints::TimeScope::AllTimes => ("all", 0, 0),
-                    jit_constraints::TimeScope::At(t) => ("at", t, t),
-                    jit_constraints::TimeScope::Between(lo, hi) => ("between", lo, hi),
-                };
-                vec![
-                    id.clone(),
-                    Value::Int(ord as i64),
-                    Value::from(kind),
-                    Value::Int(lo as i64),
-                    Value::Int(hi as i64),
-                    Value::from(codec::encode_constraint(&item.constraint)),
-                ]
-            })
-            .collect();
-        let mut candidates = Vec::new();
-        let mut candidate_profiles = Vec::new();
-        for (ord, c) in snapshot.candidates().iter().enumerate() {
-            candidates.push(vec![
-                id.clone(),
-                Value::Int(ord as i64),
-                Value::Int(c.time_index as i64),
-                Value::Int(c.gap as i64),
-                Value::Float(c.diff),
-                Value::Float(c.confidence),
-            ]);
-            for (i, v) in c.profile.iter().enumerate() {
-                candidate_profiles.push(vec![
-                    id.clone(),
-                    Value::Int(ord as i64),
-                    Value::Int(i as i64),
-                    Value::Float(*v),
-                ]);
-            }
-        }
-
-        // Replace semantics as ONE batch: deletes of any prior snapshot
-        // rows, then the inserts. Durable stores commit it as a single
-        // WAL record, so a crash recovers either the old snapshot or the
-        // new one — never rows from both.
-        let mut ops = Self::delete_ops(&id);
-        ops.extend(
-            [
-                ("jit_snapshots", header),
-                ("jit_snapshot_profile", profile),
-                ("jit_snapshot_inputs", inputs),
-                ("jit_snapshot_fingerprints", fingerprints),
-                ("jit_snapshot_constraints", constraints),
-                ("jit_snapshot_candidates", candidates),
-                ("jit_snapshot_candidate_profiles", candidate_profiles),
-            ]
-            .into_iter()
-            .filter_map(|(table, rows)| insert_op(table, rows)),
-        );
-        self.apply_batch(&ops)
+            Value::from(to_hex(&wire::snapshot_to_bytes(snapshot))),
+        ];
+        self.replace_row(id, Some(row))
     }
 
     fn load(&self, user_id: &str) -> Result<Option<SessionSnapshot>, StoreError> {
         let _guard = self.op_lock.lock();
-        let header = self.query(&self.stmts.header, user_id)?;
-        let Some(header_row) = header.rows.first() else {
+        let rs = self.query(&self.stmts.row, user_id)?;
+        let Some(row) = rs.rows.first() else {
             return Ok(None);
         };
-        let digest_hex = match &header_row[0] {
-            Value::Text(s) => s.clone(),
-            other => {
-                return Err(Self::corrupt(user_id, format!("schema digest {other}")))
-            }
+        let [Value::Text(digest_hex), Value::Text(snapshot_hex)] = row.as_slice()
+        else {
+            return Err(corrupt(user_id, "snapshot row is not two text values"));
         };
-        let found = Digest::from_hex(&digest_hex)
-            .ok_or_else(|| Self::corrupt(user_id, "unparseable schema digest"))?;
+        let found = Digest::from_hex(digest_hex)
+            .ok_or_else(|| corrupt(user_id, "unparseable schema digest"))?;
         if found != self.schema_digest {
             return Err(StoreError::SchemaMismatch {
                 expected: self.schema_digest,
                 found,
             });
         }
-        let horizon = header_row[1]
-            .as_i64()
-            .filter(|h| *h >= 0)
-            .ok_or_else(|| Self::corrupt(user_id, "horizon"))?
-            as usize;
-        let update_text = match &header_row[2] {
-            Value::Text(s) => s.as_str(),
-            other => return Err(Self::corrupt(user_id, format!("update_fn {other}"))),
-        };
-        let update_fn = codec::decode_update_fn(update_text, &self.schema)
-            .map_err(|e| Self::corrupt(user_id, e.to_string()))?;
-
-        // Profile, ordered by coordinate.
-        let rs = self.query(&self.stmts.profile, user_id)?;
-        let profile: Vec<f64> = rs
-            .rows
-            .iter()
-            .map(|r| r[0].as_f64())
-            .collect::<Option<_>>()
-            .ok_or_else(|| Self::corrupt(user_id, "profile values"))?;
-        if profile.len() != self.schema.dim() {
-            return Err(Self::corrupt(user_id, "profile dimension"));
-        }
-
-        // Temporal inputs, (t, idx)-ordered into per-t rows.
-        let rs = self.query(&self.stmts.inputs, user_id)?;
-        let mut temporal_inputs: Vec<Vec<f64>> = vec![Vec::new(); horizon + 1];
-        for row in &rs.rows {
-            let t = row[0]
-                .as_i64()
-                .filter(|t| (0..=horizon as i64).contains(t))
-                .ok_or_else(|| Self::corrupt(user_id, "temporal-input time"))?;
-            let v = row[1]
-                .as_f64()
-                .ok_or_else(|| Self::corrupt(user_id, "temporal-input value"))?;
-            temporal_inputs[t as usize].push(v);
-        }
-        if temporal_inputs.iter().any(|x| x.len() != self.schema.dim()) {
-            return Err(Self::corrupt(user_id, "temporal-input dimension"));
-        }
-
-        // Fingerprints per time point (NULL = unfingerprintable).
-        let rs = self.query(&self.stmts.fingerprints, user_id)?;
-        let mut fingerprints: Vec<Option<Digest>> = vec![None; horizon + 1];
-        if rs.rows.len() != horizon + 1 {
-            return Err(Self::corrupt(user_id, "fingerprint row count"));
-        }
-        for row in &rs.rows {
-            let t = row[0]
-                .as_i64()
-                .filter(|t| (0..=horizon as i64).contains(t))
-                .ok_or_else(|| Self::corrupt(user_id, "fingerprint time"))?;
-            fingerprints[t as usize] = match &row[1] {
-                Value::Null => None,
-                Value::Text(hex) => Some(Digest::from_hex(hex).ok_or_else(|| {
-                    Self::corrupt(user_id, "unparseable fingerprint hex")
-                })?),
-                other => {
-                    return Err(Self::corrupt(user_id, format!("fingerprint {other}")))
-                }
-            };
-        }
-
-        // Preference constraints, in insertion order.
-        let rs = self.query(&self.stmts.constraints, user_id)?;
-        let mut constraints = jit_constraints::ConstraintSet::new();
-        for row in &rs.rows {
-            let body = match &row[3] {
-                Value::Text(s) => s.as_str(),
-                other => {
-                    return Err(Self::corrupt(
-                        user_id,
-                        format!("constraint body {other}"),
-                    ))
-                }
-            };
-            let constraint = codec::decode_constraint(body)
-                .map_err(|e| Self::corrupt(user_id, e.to_string()))?;
-            let scope_int = |i: usize| {
-                row[i]
-                    .as_i64()
-                    .filter(|v| *v >= 0)
-                    .map(|v| v as usize)
-                    .ok_or_else(|| Self::corrupt(user_id, "constraint scope"))
-            };
-            match &row[0] {
-                Value::Text(kind) if kind == "all" => {
-                    constraints.add(constraint);
-                }
-                Value::Text(kind) if kind == "at" => {
-                    constraints.add_at(scope_int(1)?, constraint);
-                }
-                Value::Text(kind) if kind == "between" => {
-                    let (lo, hi) = (scope_int(1)?, scope_int(2)?);
-                    if lo > hi {
-                        return Err(Self::corrupt(user_id, "scope range order"));
-                    }
-                    constraints.add_between(lo, hi, constraint);
-                }
-                other => {
-                    return Err(Self::corrupt(user_id, format!("scope kind {other}")))
-                }
-            }
-        }
-
-        // Candidates with their profiles, in stored order.
-        let rs = self.query(&self.stmts.candidates, user_id)?;
-        let profile_rows = self.query(&self.stmts.candidate_profiles, user_id)?;
-        let mut candidate_profiles: Vec<Vec<f64>> = vec![Vec::new(); rs.rows.len()];
-        for row in &profile_rows.rows {
-            let ord = row[0]
-                .as_i64()
-                .filter(|o| (0..rs.rows.len() as i64).contains(o))
-                .ok_or_else(|| Self::corrupt(user_id, "candidate profile ord"))?;
-            let v = row[1]
-                .as_f64()
-                .ok_or_else(|| Self::corrupt(user_id, "candidate profile value"))?;
-            candidate_profiles[ord as usize].push(v);
-        }
-        if candidate_profiles.iter().any(|p| p.len() != self.schema.dim()) {
-            return Err(Self::corrupt(user_id, "candidate profile dimension"));
-        }
-        let mut candidates = Vec::with_capacity(rs.rows.len());
-        for (row, profile) in rs.rows.iter().zip(candidate_profiles) {
-            let int = |v: &Value, what: &'static str| {
-                v.as_i64()
-                    .filter(|v| *v >= 0)
-                    .map(|v| v as usize)
-                    .ok_or_else(|| Self::corrupt(user_id, what))
-            };
-            candidates.push(Candidate {
-                time_index: int(&row[0], "candidate time")?,
-                profile,
-                gap: int(&row[1], "candidate gap")?,
-                diff: row[2]
-                    .as_f64()
-                    .ok_or_else(|| Self::corrupt(user_id, "candidate diff"))?,
-                confidence: row[3]
-                    .as_f64()
-                    .ok_or_else(|| Self::corrupt(user_id, "candidate p"))?,
-            });
-        }
-
-        let request = UserRequest { profile, constraints, update_fn };
-        SessionSnapshot::from_parts(request, temporal_inputs, candidates, fingerprints)
-            .ok_or_else(|| Self::corrupt(user_id, "inconsistent snapshot shape"))
-            .map(Some)
+        let bytes = from_hex(snapshot_hex)
+            .ok_or_else(|| corrupt(user_id, "snapshot is not lowercase hex"))?;
+        let snapshot = wire::snapshot_from_bytes(&bytes, &self.schema)
+            .map_err(|e| corrupt(user_id, e.to_string()))?;
+        self.check_dims(&snapshot).map_err(|what| corrupt(user_id, what))?;
+        Ok(Some(snapshot))
     }
 
     fn remove(&self, user_id: &str) -> Result<bool, StoreError> {
         let _guard = self.op_lock.lock();
         let existed = !self.query(&self.stmts.exists, user_id)?.is_empty();
-        if existed || self.wal.is_none() {
-            self.apply_batch(&Self::delete_ops(&Value::from(user_id)))?;
+        if existed {
+            self.replace_row(Value::from(user_id), None)?;
         }
         Ok(existed)
     }
@@ -640,13 +362,31 @@ impl SnapshotStore for DbSnapshotStore {
         let rs = self.db.execute_prepared(&self.stmts.user_ids, &[])?;
         rs.rows
             .iter()
-            .map(|r| match &r[0] {
-                Value::Text(s) => Ok(s.clone()),
+            .map(|r| match r.first() {
+                Some(Value::Text(s)) => Ok(s.clone()),
                 other => Err(StoreError::Corrupt {
-                    user_id: other.to_string(),
+                    user_id: other.map(Value::to_string).unwrap_or_default(),
                     detail: "non-text user id".to_string(),
                 }),
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{from_hex, to_hex};
+
+    #[test]
+    fn hex_round_trips_and_refuses_non_canonical_text() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let text = to_hex(&bytes);
+        assert_eq!(text.len(), 512);
+        assert!(text.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)));
+        assert_eq!(from_hex(&text), Some(bytes));
+        assert_eq!(from_hex(""), Some(Vec::new()));
+        for bad in ["0", "abc", "0g", "AB", "+1", "0 "] {
+            assert_eq!(from_hex(bad), None, "{bad:?}");
+        }
     }
 }

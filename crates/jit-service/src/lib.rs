@@ -47,16 +47,14 @@
 //!
 //! * [`MemorySnapshotStore`] — a `RwLock<HashMap>`; snapshots live as
 //!   long as the process. The default.
-//! * [`DbSnapshotStore`] — serializes every snapshot **through the
-//!   `jit-db` SQL engine** (INSERT/SELECT text, no side channel):
-//!   floats travel as lossless literals (`Value::sql_literal`),
-//!   fingerprints as [`jit_math::digest::Digest`] hex, constraint sets
-//!   and temporal update functions through an exact bit-preserving text
-//!   codec ([`codec`]). Because the backing [`jit_db::Database`] is the
-//!   durable medium, re-serves survive "process restarts": drop the
-//!   service and the trained system, re-open a store over the same
-//!   database, and [`ServeRequest::Refresh`] reproduces the original
-//!   re-serve bit-for-bit. Each snapshot records the schema's content
+//! * [`DbSnapshotStore`] — stores every snapshot as **one `jit-db`
+//!   row** holding the hex of its [`wire`] encoding (floats as raw
+//!   bits, so every payload survives bit-exactly). Because the backing
+//!   [`jit_db::Database`] is the durable medium, re-serves survive
+//!   "process restarts": drop the service and the trained system,
+//!   re-open a store over the same database, and
+//!   [`ServeRequest::Refresh`] reproduces the original re-serve
+//!   bit-for-bit. Each snapshot records the schema's content
 //!   digest; loading under a different schema fails with
 //!   [`StoreError::SchemaMismatch`] instead of mis-replaying.
 //!

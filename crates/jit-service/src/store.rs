@@ -35,6 +35,15 @@ pub enum StoreError {
     /// The backend is unreachable/unusable (used by fault injection and
     /// future out-of-process backends).
     Unavailable(String),
+    /// The database holds a snapshot table in a layout this store does
+    /// not read (one written by an older release, say). Opening refuses
+    /// it; there is no migration.
+    LayoutMismatch {
+        /// The layout the store reads and writes.
+        expected: String,
+        /// The layout found in the database.
+        found: String,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -52,6 +61,11 @@ impl fmt::Display for StoreError {
             StoreError::Unavailable(why) => {
                 write!(f, "snapshot store unavailable: {why}")
             }
+            StoreError::LayoutMismatch { expected, found } => write!(
+                f,
+                "snapshot table layout {found} is not {expected}; \
+                 stored snapshots are not migrated"
+            ),
         }
     }
 }

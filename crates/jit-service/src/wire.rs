@@ -518,6 +518,26 @@ fn decode_snapshot(
         })
 }
 
+/// A snapshot's canonical wire bytes, exactly as they travel inside a
+/// `Returning` request or a response (the durable store persists them).
+pub(crate) fn snapshot_to_bytes(snapshot: &SessionSnapshot) -> Vec<u8> {
+    let mut w = Writer::new();
+    encode_snapshot(&mut w, snapshot);
+    w.into_bytes()
+}
+
+/// Decodes [`snapshot_to_bytes`] output. Every byte must be consumed, so
+/// a truncated encoding and one with trailing bytes are both refused.
+pub(crate) fn snapshot_from_bytes(
+    bytes: &[u8],
+    schema: &FeatureSchema,
+) -> Result<SessionSnapshot, WireError> {
+    let mut r = Reader::new(bytes);
+    let snapshot = decode_snapshot(&mut r, schema)?;
+    r.finish("end of snapshot")?;
+    Ok(snapshot)
+}
+
 /// Encodes a [`ServeRequest`] body (without frame or message tag).
 pub fn encode_request(w: &mut Writer, request: &ServeRequest) {
     match request {
@@ -805,6 +825,11 @@ pub fn encode_error(w: &mut Writer, error: &ServeError) {
                     w.u8(3);
                     w.str(why);
                 }
+                StoreError::LayoutMismatch { expected, found } => {
+                    w.u8(4);
+                    w.str(expected);
+                    w.str(found);
+                }
             }
         }
         ServeError::Overloaded { capacity } => {
@@ -869,6 +894,10 @@ pub fn decode_error(r: &mut Reader<'_>) -> Result<ServeError, WireError> {
                     detail: r.str("corrupt detail")?,
                 },
                 3 => StoreError::Unavailable(r.str("unavailable reason")?),
+                4 => StoreError::LayoutMismatch {
+                    expected: r.str("expected layout")?,
+                    found: r.str("found layout")?,
+                },
                 _ => {
                     r.pos -= 1;
                     return Err(r.err("store error tag"));

@@ -4,8 +4,8 @@
 //! snapshot — under no drift and partial drift, for 1/2/8 worker
 //! threads and both batch policies.
 //!
-//! This is the end-to-end guarantee the store stack (lossless jit-db
-//! float literals, digest hex, the exact constraint/update-fn codec)
+//! This is the end-to-end guarantee the store stack (the wire encoding's
+//! raw float bits, its exact constraint/update-fn codec, the row's hex)
 //! exists to provide; any lossy byte anywhere breaks fingerprint
 //! equality and shows up here as a spurious recompute or a diverging
 //! candidate bit pattern.
@@ -237,4 +237,73 @@ proptest! {
             prop_assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
         }
     }
+}
+
+/// A durable store over an in-memory log, with automatic checkpoints at
+/// their default size.
+fn durable_store() -> (std::sync::Arc<jit_db::DurableDatabase>, DbSnapshotStore) {
+    let (wal, _) = jit_db::DurableDatabase::open(
+        std::sync::Arc::new(jit_db::MemFile::new()),
+        jit_db::WalConfig::default(),
+    )
+    .expect("open log");
+    let wal = std::sync::Arc::new(wal);
+    let store = DbSnapshotStore::open_durable(std::sync::Arc::clone(&wal), schema())
+        .expect("open");
+    (wal, store)
+}
+
+#[test]
+fn durable_saves_log_one_row_whatever_the_store_holds() {
+    let (_, _, system) = &systems()[0];
+    let requests: Vec<UserRequest> = (0..4)
+        .map(|i| {
+            let mut profile = LendingClubGenerator::john();
+            profile[2] += 1_000.0 * i as f64;
+            UserRequest::new(profile)
+        })
+        .collect();
+    let served = system.serve_batch(&requests).expect("cold serve");
+
+    // One row per user, and no per-coordinate side tables.
+    let (_, store) = durable_store();
+    for (i, session) in served.iter().enumerate() {
+        store.save(&format!("user-{i}"), &session.snapshot()).expect("save");
+    }
+    let db = store.database();
+    assert_eq!(db.row_count("jit_snapshots").expect("table"), served.len());
+    let tables: Vec<String> = db
+        .table_names()
+        .into_iter()
+        .filter(|t| t.starts_with("jit_snapshot"))
+        .collect();
+    assert_eq!(tables, ["jit_snapshots"]);
+
+    // Re-saving one snapshot logs the same bytes beside 0 or 199 other
+    // users, and no more than its own stored row plus a fixed overhead.
+    let snapshot = served[0].snapshot();
+    let resave_bytes = |others: usize| {
+        let (wal, store) = durable_store();
+        store.save("u", &snapshot).expect("save");
+        for i in 0..others {
+            store.save(&format!("other-{i:03}"), &snapshot).expect("save");
+        }
+        let before = wal.wal_bytes_logged();
+        store.save("u", &snapshot).expect("re-save");
+        wal.wal_bytes_logged() - before
+    };
+    let alone = resave_bytes(0);
+    assert_eq!(resave_bytes(199), alone);
+    let row = db
+        .execute("SELECT snapshot FROM jit_snapshots WHERE user_id = 'user-0'")
+        .expect("select");
+    let Some(jit_db::Value::Text(hex)) = row.rows.first().and_then(|r| r.first())
+    else {
+        panic!("stored snapshot is not text: {:?}", row.rows);
+    };
+    assert!(
+        alone <= hex.len() as u64 + 256,
+        "{alone} bytes for a {}-char row",
+        hex.len()
+    );
 }

@@ -287,25 +287,98 @@ fn db_store_rejects_snapshots_from_a_different_schema() {
 
 #[test]
 fn db_store_reports_corrupt_rows_as_typed_errors() {
+    use jit_db::Value;
     let (_, schema) = fixture();
     let db = Arc::new(jit_db::Database::new());
     let store = DbSnapshotStore::open(Arc::clone(&db), schema).unwrap();
     let service = JitService::with_shared(shared_system(), Arc::new(store));
     service.serve(ServeRequest::new_user("u", john_member("u").request)).unwrap();
 
-    // Vandalize the persisted rows: losing the temporal inputs must
-    // surface as StoreError::Corrupt on load, never a shape-invalid
-    // snapshot that mis-serves downstream.
-    db.execute("DELETE FROM jit_snapshot_inputs WHERE user_id = 'u'").unwrap();
-    let err = service.serve(ServeRequest::refresh(["u"])).unwrap_err();
-    assert!(
-        matches!(
-            &err,
-            ServeError::Store { error: StoreError::Corrupt { user_id, .. }, .. }
-                if user_id == "u"
-        ),
-        "{err:?}"
+    let stored = db
+        .execute(
+            "SELECT schema_digest, snapshot FROM jit_snapshots WHERE user_id = 'u'",
+        )
+        .unwrap();
+    let [Value::Text(digest), Value::Text(hex)] = stored.rows[0].as_slice() else {
+        panic!("unexpected stored row {:?}", stored.rows);
+    };
+
+    // Vandalize the persisted row: text that is not hex, an encoding cut
+    // one byte short, and an encoding with one trailing byte must each
+    // surface as StoreError::Corrupt on load, never a snapshot that
+    // mis-serves downstream.
+    let non_hex = format!("zz{}", &hex[2..]);
+    let truncated = hex[..hex.len() - 2].to_string();
+    let trailing = format!("{hex}00");
+    for vandalized in [non_hex, truncated, trailing] {
+        db.delete_eq("jit_snapshots", "user_id", &Value::from("u")).unwrap();
+        db.insert_rows(
+            "jit_snapshots",
+            vec![vec![
+                Value::from("u"),
+                Value::from(digest.as_str()),
+                Value::from(vandalized),
+            ]],
+        )
+        .unwrap();
+        let err = service.serve(ServeRequest::refresh(["u"])).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ServeError::Store { error: StoreError::Corrupt { user_id, .. }, .. }
+                    if user_id == "u"
+            ),
+            "{err:?}"
+        );
+    }
+}
+
+#[test]
+fn db_store_refuses_an_older_table_layout_at_open() {
+    let (_, schema) = fixture();
+    // The per-coordinate layout's header table, as older databases hold it.
+    let db = Arc::new(jit_db::Database::new());
+    db.execute(
+        "CREATE TABLE jit_snapshots (user_id TEXT, schema_digest TEXT, \
+         horizon INTEGER, update_fn TEXT)",
+    )
+    .unwrap();
+    let err = DbSnapshotStore::open(Arc::clone(&db), schema).unwrap_err();
+    let StoreError::LayoutMismatch { expected, found } = &err else {
+        panic!("expected a layout mismatch, got {err:?}");
+    };
+    assert_eq!(
+        expected,
+        "jit_snapshots(user_id TEXT, schema_digest TEXT, snapshot TEXT)"
     );
+    assert_eq!(
+        found,
+        "jit_snapshots(user_id TEXT, schema_digest TEXT, horizon INTEGER, update_fn TEXT)"
+    );
+
+    // The durable open refuses it the same way, and logs nothing.
+    let wal = Arc::new(
+        jit_db::DurableDatabase::open(
+            Arc::new(jit_db::MemFile::new()),
+            jit_db::WalConfig::default(),
+        )
+        .unwrap()
+        .0,
+    );
+    wal.commit(&[jit_db::WalOp::CreateTable {
+        name: "jit_snapshots".to_string(),
+        columns: vec![
+            ("user_id".to_string(), jit_db::ColumnType::Text),
+            ("schema_digest".to_string(), jit_db::ColumnType::Text),
+            ("horizon".to_string(), jit_db::ColumnType::Integer),
+            ("update_fn".to_string(), jit_db::ColumnType::Text),
+        ],
+    }])
+    .unwrap();
+    let logged = wal.wal_bytes_logged();
+    let err = DbSnapshotStore::open_durable(Arc::clone(&wal), schema).unwrap_err();
+    assert!(matches!(err, StoreError::LayoutMismatch { .. }), "{err:?}");
+    assert_eq!(wal.wal_bytes_logged(), logged);
 }
 
 // ---------------------------------------------------------------------

@@ -9,7 +9,7 @@
 use jit_core::UserRequest;
 use jit_data::FeatureSchema;
 use jit_service::wire::{self, Message, WireError};
-use jit_service::{CohortMember, ServeError, ServeRequest};
+use jit_service::{CohortMember, ServeError, ServeRequest, StoreError};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -137,6 +137,13 @@ proptest! {
             ServeError::Overloaded { capacity },
             ServeError::Shard { shard, user_id: id.clone(), detail: id.clone() },
             ServeError::Transport(id.clone()),
+            ServeError::Store {
+                user_id: Some(id.clone()),
+                error: StoreError::LayoutMismatch {
+                    expected: id.clone(),
+                    found: id.clone(),
+                },
+            },
         ] {
             let encoded = wire::encode_message(&Message::Failed { id: 3, error });
             let decoded = wire::decode_message(&encoded, None).expect("decodes");

@@ -6,7 +6,7 @@
 //!
 //! 1. the admin trains a system and starts a [`ShardedService`] — four
 //!    in-process shard workers sharing the trained models, each owning a
-//!    **jit-db-backed snapshot store** (the snapshots live as SQL rows);
+//!    **jit-db-backed snapshot store** (one SQL row per snapshot);
 //! 2. a mixed workload arrives — a cohort of first-visit users plus one
 //!    returning user presenting their own snapshot — as plain
 //!    [`ServeRequest`] values, and is routed by consistent hashing,
